@@ -4,8 +4,9 @@ Besides the fixtures, this conftest tracks the perf trajectory: at the
 end of a benchmark session it writes ``BENCH_PR10.json`` at the repo
 root with per-test wall-clock, the aggregate solver counters
 (:data:`repro.solver.core.GLOBAL_STATS` — checks, LRU cache
-hits/misses/evictions, branches, plus the robustness counters:
-branch-cap unknowns and cooperative-budget stops), the pool's
+hits/misses/evictions, branches, sequence unrolls, plus the robustness
+counters: branch-cap unknowns, cooperative-budget stops and closure cap
+hits), the pool's
 fault/retry counters (:data:`repro.parallel.PARALLEL_STATS` — broken
 pools, worker failures, serial retries/fallbacks), the proof-store
 counters (:data:`repro.store.STORE_STATS` — hits, misses, quarantines,
@@ -38,7 +39,9 @@ the session totals that land in the JSON.
 """
 
 import json
+import os
 import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -52,18 +55,8 @@ from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
 from repro.store import STORE_STATS, reset_store_stats
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
-
-#: Tier-1 suite wall-clock on the reference machine, recorded when this
-#: tracking was introduced (PR 1): the seed solver vs. the hash-consed /
-#: incremental / parallel one. Kept static so regenerated bench JSON
-#: still carries the before/after story.
-_TIER1_WALL_CLOCK = {
-    "command": "PYTHONPATH=src python -m pytest -x -q (374 tests)",
-    "seed_seconds": 79.33,
-    "pr1_seconds": 13.92,
-    "speedup": round(79.33 / 13.92, 2),
-}
+_ROOT = Path(__file__).resolve().parent.parent
+_BENCH_JSON = _ROOT / "BENCH_PR10.json"
 
 _rows = []
 _parallel_totals: dict = {}
@@ -114,6 +107,24 @@ def pytest_runtest_makereport(item, call):
         )
 
 
+def _machine() -> dict:
+    """Where the record was measured: CPUs available to this process,
+    the Python version and the checked-out commit (``None`` outside a
+    git checkout)."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        nproc = os.cpu_count()
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=_ROOT, capture_output=True,
+            text=True, timeout=10, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {"nproc": nproc, "python": platform.python_version(), "git_sha": sha}
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _rows:
         return
@@ -162,8 +173,7 @@ def pytest_sessionfinish(session, exitstatus):
     }
     payload = {
         "pr": 10,
-        "python": platform.python_version(),
-        "tier1_wall_clock": _TIER1_WALL_CLOCK,
+        **_machine(),
         "bench_total_seconds": round(sum(r["seconds"] for r in _rows), 3),
         "tests": _rows,
         "solver_stats": stats,
@@ -171,12 +181,15 @@ def pytest_sessionfinish(session, exitstatus):
             round(stats["cache_hits"] / lookups, 4) if lookups else None
         ),
         # Degradation record: solver queries that hit the branch cap
-        # (UNKNOWN answers), cooperative-budget stops (timeouts), the
+        # (UNKNOWN answers), cooperative-budget stops (timeouts),
+        # closures stopped at a round or exhaustive cap, the
         # pool's crash/retry counters and the proof-store's hit/miss/
         # quarantine counters. All zero on a clean, cache-less run.
         "robustness": {
             "solver_unknowns": stats.get("unknowns", 0),
             "solver_budget_stops": stats.get("budget_stops", 0),
+            "solver_close_round_caps": stats.get("close_round_caps", 0),
+            "solver_close_exhaustive_caps": stats.get("close_exhaustive_caps", 0),
             "parallel": dict(_parallel_totals) or dict(PARALLEL_STATS),
             "store": dict(_store_totals) or dict(STORE_STATS),
         },

@@ -73,6 +73,12 @@ from repro.solver.portfolio import priors_from_metrics, selector_path
 #: containing a crash is "crashed" even if another entry merely refuted).
 STATUSES = ("verified", "refuted", "timeout", "crashed", "error")
 _SEVERITY = ("error", "crashed", "timeout", "refuted")
+#: Solver counters that mark a degraded answer or a closure stopped
+#: short of its fixpoint; the report's solver line shows whenever one
+#: is non-zero.
+_SOLVER_DEGRADATIONS = (
+    "unknowns", "budget_stops", "close_round_caps", "close_exhaustive_caps",
+)
 
 _STRATEGY_PREFIX = "solver.strategy."
 
@@ -127,8 +133,9 @@ class HybridEntry:
 class HybridReport:
     entries: list[HybridEntry] = field(default_factory=list)
     elapsed: float = 0.0
-    #: Budget/degradation counters of the driving solver (serial path;
-    #: forked workers keep their own copies), captured at run() end.
+    #: Solver checks and degradation counters (branch-cap unknowns,
+    #: budget stops, closure cap hits) for *this run*: a delta of
+    #: ``GLOBAL_STATS``, so forked workers' counts are included.
     solver_stats: dict = field(default_factory=dict)
     #: Pool fault/retry counters for *this run* (delta of
     #: ``repro.parallel.PARALLEL_STATS`` across run()).
@@ -198,11 +205,13 @@ class HybridReport:
         else:
             lines.append(f"-- {summary} in {self.elapsed:.2f}s --")
         ss = self.solver_stats
-        if ss.get("unknowns") or ss.get("budget_stops"):
+        if any(ss.get(k) for k in _SOLVER_DEGRADATIONS):
             lines.append(
                 f"-- solver: {ss.get('checks', 0)} checks, "
                 f"{ss.get('unknowns', 0)} unknown (branch cap), "
-                f"{ss.get('budget_stops', 0)} budget stops --"
+                f"{ss.get('budget_stops', 0)} budget stops, "
+                f"{ss.get('close_round_caps', 0)} closure round caps, "
+                f"{ss.get('close_exhaustive_caps', 0)} exhaustive closure caps --"
             )
         ps = self.parallel_stats
         if ps and any(ps.values()):
@@ -507,7 +516,7 @@ class HybridVerifier:
         # pool's observability deltas and land in GLOBAL_STATS only.
         report.solver_stats = {
             k: GLOBAL_STATS[k] - solver_before.get(k, 0)
-            for k in ("checks", "unknowns", "budget_stops")
+            for k in ("checks", *_SOLVER_DEGRADATIONS)
         }
         report.parallel_stats = {
             k: PARALLEL_STATS[k] - parallel_before.get(k, 0)

@@ -28,7 +28,10 @@ bracket each alternative with :meth:`TheoryBranch.push` /
 and the linear store). Sibling branches therefore share the
 common-prefix closure — including Fourier-Motzkin combinations —
 instead of recomputing it per branch, and the pending work-list is a
-persistent cons-list so the disjunction fan-out never copies it. The
+persistent cons-list so the disjunction fan-out never copies it.
+Closure is incremental too: structural rules revisit only the terms
+the congruence closure touched since the previous round, and a
+sequence is unrolled only when something consumes its elements. The
 cross-query result cache is a bounded LRU (capacity via the
 ``REPRO_SOLVER_CACHE`` knob) with hit/miss/eviction counters in
 :attr:`Solver.stats`.
@@ -50,7 +53,7 @@ import enum
 import os
 import warnings
 from collections import OrderedDict
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro import faultinject
 from repro.errors import BudgetExhausted  # re-exported; was defined here
@@ -68,6 +71,7 @@ from repro.solver.terms import (
     IntLit,
     Term,
     Var,
+    add,
     eq,
     fresh_var,
     intlit,
@@ -75,8 +79,11 @@ from repro.solver.terms import (
     none,
     not_,
     rebuild,
+    seq_cons,
     seq_empty,
+    seq_head,
     seq_len,
+    seq_tail,
     some,
     subterms,
 )
@@ -99,22 +106,48 @@ _SELECTOR_OPS = {
     "is_some",
 }
 
+_ZERO = intlit(0)
+
+#: Terms whose presence over a sequence's class asks for it to be
+#: unrolled (see :meth:`TheoryBranch._unroll_nonempty`).
+_CONSUMER_OPS = {"seq.head", "seq.tail", "seq.at", "seq.last", "seq.append"}
+
+# Branch trail entry tags.
+_U_SEQ = 0  # (tag, term)   un-register a sequence term
+_U_LEN = 1  # (tag, term)   un-register the newest length term
+_U_MADE = 2  # (tag, term)  forget an unroller-made selector
+_U_MENTION = 3  # (tag, term)  a literal mentioned an unroller-made one
+
 
 class TheoryBranch:
     """One conjunctive branch of the search.
 
     Incremental: :meth:`push` / :meth:`pop` bracket speculative
     assertions (one disjunct of a DNF split), undoing them via the
-    trails of the congruence closure and the linear store, so sibling
-    branches reuse the shared-prefix closure instead of rebuilding it.
+    trails of the congruence closure, the linear store and the branch
+    itself, so sibling branches reuse the shared-prefix closure instead
+    of rebuilding it.
+
+    ``tick(key)`` counts closure events: ``unrolls``, and the cap hits
+    ``close_round_caps`` / ``close_exhaustive_caps`` (the search passes
+    :meth:`Solver._tick`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tick: Callable[[str], None]) -> None:
         from repro.solver.union_find import CongruenceClosure
 
         self.cc = CongruenceClosure()
         self.lin = LinearStore()
+        self.tick = tick
+        # Sequence terms whose length is known non-negative.
         self._seq_terms: set[Term] = set()
+        # Every seq.len term, in discovery order (a dict, so that undo
+        # pops the newest).
+        self._lens: dict[Term, None] = {}
+        # head/tail terms the unroller created and no literal mentions:
+        # they are not consumers.
+        self._made: set[Term] = set()
+        self._trail: list[tuple] = []
         self._frames: list[tuple] = []
         # True when literals were asserted since the last close().
         self._dirty = False
@@ -124,12 +157,27 @@ class TheoryBranch:
     def push(self) -> None:
         self.cc.push()
         self.lin.push()
-        self._frames.append((set(self._seq_terms), self._dirty))
+        self._frames.append((len(self._trail), self._dirty))
 
     def pop(self) -> None:
-        self._seq_terms, self._dirty = self._frames.pop()
+        mark, self._dirty = self._frames.pop()
+        trail = self._trail
+        while len(trail) > mark:
+            tag, t = trail.pop()
+            if tag == _U_SEQ:
+                self._seq_terms.discard(t)
+            elif tag == _U_LEN:
+                self._lens.popitem()
+            elif tag == _U_MADE:
+                self._made.discard(t)
+            else:  # _U_MENTION
+                self._made.add(t)
         self.lin.pop()
         self.cc.pop()
+
+    def _record(self, tag: int, t: Term) -> None:
+        if self._frames:
+            self._trail.append((tag, t))
 
     # -- assertion ----------------------------------------------------------
 
@@ -138,6 +186,12 @@ class TheoryBranch:
             return
         self._dirty = True
         self._register_subterms(lit)
+        if self._made:
+            # A selector a literal mentions is demand, whoever made it.
+            for s in subterms(lit):
+                if s in self._made:
+                    self._made.discard(s)
+                    self._record(_U_MENTION, s)
         if isinstance(lit, BoolLit):
             if not lit.value:
                 self.lin.conflict = True
@@ -185,12 +239,21 @@ class TheoryBranch:
             self.cc.find(s)
             if isinstance(s.sort, SeqSort) and s not in self._seq_terms:
                 self._seq_terms.add(s)
+                self._record(_U_SEQ, s)
                 self.lin.assert_le(intlit(0), seq_len(s), strict=False)
 
     # -- closure ------------------------------------------------------------
 
     def close(self) -> None:
-        """Run theory combination to a bounded fixpoint."""
+        """Run theory combination to a bounded fixpoint.
+
+        Each round exchanges equalities between the congruence closure
+        and the linear store, propagates bounds, and runs the structural
+        rules over the closure's work-list (terms interned or
+        re-canonicalised since the previous round). After 20 rounds with
+        inferences still flowing the call stops short of a fixpoint: the
+        branch stays dirty so a later call resumes, and the hit is
+        counted as ``close_round_caps``."""
         if not self._dirty:
             return
         self._dirty = False
@@ -206,9 +269,8 @@ class TheoryBranch:
                 changed = True
             if not changed:
                 return
-        # Hit the round cap with inferences still flowing: not a true
-        # fixpoint, so a later close() must resume.
         self._dirty = True
+        self.tick("close_round_caps")
 
     def _exchange_equalities(self) -> bool:
         changed = False
@@ -225,59 +287,84 @@ class TheoryBranch:
         return changed
 
     def _structural_propagation(self) -> bool:
+        """Selectors over constructors, for the terms the closure
+        touched since the last round (a term whose argument
+        representatives did not change has nothing new to rebuild);
+        then the length rules for every ``seq.len`` term, whose
+        lower bounds move with the linear store, not the closure."""
         changed = False
-        terms = list(self.cc.known_terms())
-        for t in terms:
-            if not isinstance(t, App):
-                continue
-            if t.op in _SELECTOR_OPS or t.op.startswith("tuple."):
-                rep_args = tuple(self.cc.find(a) for a in t.args)
+        cc = self.cc
+        for t in cc.take_touched():
+            op = t.op
+            if op in _SELECTOR_OPS or op.startswith("tuple."):
+                rep_args = tuple(cc.find(a) for a in t.args)
                 if rep_args != t.args:
-                    simplified = rebuild(t.op, rep_args, t.sort)
-                    if simplified != t and not self.cc.are_equal(t, simplified):
-                        self.cc.union(t, simplified)
+                    simplified = rebuild(op, rep_args, t.sort)
+                    if simplified != t and not cc.are_equal(t, simplified):
+                        cc.union(t, simplified)
                         if (
                             t.sort == INT
                             and isinstance(simplified, (IntLit, App, Var))
                         ):
                             self.lin.assert_eq(t, simplified)
                         changed = True
-            if t.op == "seq.len":
-                (s,) = t.args
-                if self.cc.are_equal(t, intlit(0)):
-                    empty = seq_empty(s.sort.elem)  # type: ignore[union-attr]
-                    if not self.cc.are_equal(s, empty):
-                        self.cc.union(s, empty)
-                        changed = True
-                elif self._unroll_nonempty(t, s):
+                if op == "seq.len" and t not in self._lens:
+                    self._lens[t] = None
+                    self._record(_U_LEN, t)
+        for t in self._lens:
+            (s,) = t.args
+            if cc.are_equal(t, _ZERO):
+                empty = seq_empty(s.sort.elem)  # type: ignore[union-attr]
+                if not cc.are_equal(s, empty):
+                    cc.union(s, empty)
                     changed = True
+            elif self._unroll_nonempty(t, s):
+                changed = True
         return changed
 
     def _unroll_nonempty(self, len_term: Term, s: Term) -> bool:
         """``|s| ≥ 1 ⇒ s = cons(head s, tail s)`` with
-        ``|tail s| = |s| - 1`` — the sequence unrolling axiom. Bounded:
-        only fires when the length's lower bound is at least 1, and the
-        tail only unrolls further if its own bound still is."""
-        from repro.solver.terms import add, neg, seq_head, seq_tail, seq_cons
+        ``|tail s| = |s| - 1`` — the sequence unrolling axiom.
 
-        rep = self.cc.find(s)
+        Demand-driven: it fires only when the length's lower bound is
+        at least 1 *and* the class of ``s`` has a consumer — a
+        ``seq.head`` / ``seq.tail`` / ``seq.at`` / ``seq.last`` /
+        ``seq.append`` term over any member of the class. The head and
+        tail terms an unroll creates are not consumers unless a literal
+        mentions them, so a long sequence (``|s| = 2^64-1``) unrolls
+        only as deep as its consumers reach, not until a cap stops it.
+        Demand is read from the class's use-list, not from the literals:
+        simplifying ``append(l, r)`` over an unrolled ``l`` creates
+        ``append(tail l, r)``, which no literal mentions but which needs
+        ``tail l`` unrolled (DESIGN.md §6)."""
+        cc = self.cc
+        rep = cc.find(s)
         if isinstance(rep, App) and rep.op in ("seq.cons", "seq.empty"):
+            return False
+        made = self._made
+        if not any(u.op in _CONSUMER_OPS and u not in made for u in cc.uses(rep)):
             return False
         lo, _ = self.lin.value_range(len_term)
         if lo is None or lo < 1:
             return False
-        unrolled = seq_cons(seq_head(s), seq_tail(s))
-        if self.cc.are_equal(s, unrolled):
-            return False
-        self.cc.union(s, unrolled)
-        tail_len = seq_len(seq_tail(s))
+        head, tail = seq_head(s), seq_tail(s)
+        known = cc.known_terms()
+        new = [u for u in (head, tail) if u not in known]
+        cc.union(s, seq_cons(head, tail))
+        for u in new:
+            made.add(u)
+            self._record(_U_MADE, u)
+        tail_len = seq_len(tail)
         self.lin.assert_eq(tail_len, add(len_term, intlit(-1)))
         self._register_subterms(tail_len)
+        self.tick("unrolls")
         return True
 
     def close_exhaustive(self, max_calls: int = 8) -> None:
-        """Run :meth:`close` to a *true* fixpoint (or until ``max_calls``
-        round-capped calls — a backstop no realistic query reaches).
+        """Run :meth:`close` to a *true* fixpoint, or until ``max_calls``
+        round-capped calls; stopping there is counted as
+        ``close_exhaustive_caps`` (no query of the §6 corpus, RawStack
+        or RawVec reaches it, nor the round cap).
 
         Every search strategy decides a fully-asserted leaf with this,
         so the leaf verdict is a function of the asserted literal set
@@ -289,6 +376,7 @@ class TheoryBranch:
             self.close()
             if not self._dirty or self.conflict():
                 return
+        self.tick("close_exhaustive_caps")
 
     def conflict(self) -> bool:
         return self.cc.conflict or self.lin.conflict
@@ -320,6 +408,9 @@ GLOBAL_STATS = metrics.register_legacy(
         "branches": 0,
         "unknowns": 0,
         "budget_stops": 0,
+        "unrolls": 0,
+        "close_round_caps": 0,
+        "close_exhaustive_caps": 0,
     },
 )
 
@@ -342,8 +433,12 @@ def _describe_query(fs: Sequence[Term]) -> str:
 
 
 #: Default LRU capacity when neither the constructor nor the
-#: ``REPRO_SOLVER_CACHE`` knob says otherwise.
-DEFAULT_CACHE_CAPACITY = 16384
+#: ``REPRO_SOLVER_CACHE`` knob says otherwise. Hits come from queries
+#: repeated within one function's verification (at most ~650 misses per
+#: solver on the §6 corpus); fresh variables make queries of different
+#: verifications distinct, so a long-lived solver (the daemon's) gains
+#: nothing from more entries and would only keep their terms alive.
+DEFAULT_CACHE_CAPACITY = 1024
 
 
 def _cache_capacity_from_env(environ: Optional[dict] = None) -> int:
@@ -441,6 +536,9 @@ class Solver:
             "branches": 0,
             "unknowns": 0,
             "budget_stops": 0,
+            "unrolls": 0,
+            "close_round_caps": 0,
+            "close_exhaustive_caps": 0,
         }
 
     def _tick(self, key: str, n: int = 1) -> None:

@@ -153,7 +153,7 @@ class SearchStrategy:
         from repro.solver.core import Status, TheoryBranch
 
         budget = [solver.branch_budget]
-        branch = TheoryBranch()
+        branch = TheoryBranch(solver._tick)
         # The work-list is a persistent cons-list ``(head, rest)`` —
         # branching shares the tail between disjuncts with no copying.
         # Pushing reverses: the last formula yielded by the ordering
@@ -389,7 +389,7 @@ class PrefixReuseStrategy(SearchStrategy):
             cache.move_to_end(key)
             branch, conflict = entry
         else:
-            branch = TheoryBranch()
+            branch = TheoryBranch(solver._tick)
             for lit in lits:
                 branch.assert_literal(lit)
                 if branch.conflict():

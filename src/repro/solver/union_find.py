@@ -20,6 +20,12 @@ explicit trail (parent-pointer writes — including path compression —
 interning, use-lists, signature entries). The DNF search uses this to
 share the common-prefix closure between sibling branches instead of
 rebuilding it from scratch per branch.
+
+The closure also keeps the structural layer's work-list: every App term
+that is newly interned, or whose argument representatives change in a
+merge, is *touched*; :meth:`take_touched` hands over the terms touched
+since the previous call, and push/pop keep the list in step with the
+trail.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ class CongruenceClosure:
         # Backtracking trail: mutation records since the last push().
         self._trail: list[tuple] = []
         self._frames: list[tuple] = []
+        # Structural work-list: App terms touched since the last
+        # take_touched() are _touched[_touched_head:].
+        self._touched: list[App] = []
+        self._touched_head = 0
 
     # -- backtracking -------------------------------------------------------
 
@@ -68,12 +78,16 @@ class CongruenceClosure:
                 self.conflict,
                 self.conflict_reason,
                 list(self.pending_arith),
+                len(self._touched),
+                self._touched_head,
             )
         )
 
     def pop(self) -> None:
         """Undo every mutation since the matching :meth:`push`."""
-        mark, n_diseqs, conflict, reason, pending = self._frames.pop()
+        (
+            mark, n_diseqs, conflict, reason, pending, n_touched, touched_head,
+        ) = self._frames.pop()
         trail = self._trail
         parent = self._parent
         uses = self._uses
@@ -98,6 +112,11 @@ class CongruenceClosure:
         self.conflict = conflict
         self.conflict_reason = reason
         self.pending_arith = pending
+        # Drop the frame's touches; terms that were pending at push()
+        # and taken inside the frame are pending again, as the
+        # inferences drawn from them were undone.
+        del self._touched[n_touched:]
+        self._touched_head = touched_head
 
     # -- basic union-find ---------------------------------------------------
 
@@ -135,6 +154,7 @@ class CongruenceClosure:
                 self._uses[rep].append(t)
                 if trailing:
                     self._trail.append((_T_USE_ADD, rep))
+            self._touched.append(t)
             self._insert_sig(t)
 
     def _sig(self, t: App) -> tuple:
@@ -195,6 +215,7 @@ class CongruenceClosure:
         uses = self._uses.pop(rb, [])
         if self._frames:
             self._trail.append((_T_USE_POP, rb, uses))
+        self._touched.extend(uses)
         for u in uses:
             self._insert_sig(u)
             if self.conflict:
@@ -258,3 +279,18 @@ class CongruenceClosure:
 
     def known_terms(self) -> Iterable[Term]:
         return self._parent.keys()
+
+    def uses(self, t: Term) -> list[App]:
+        """The App terms with an argument in ``t``'s class."""
+        return self._uses[self.find(t)]
+
+    def take_touched(self) -> list[App]:
+        """The App terms interned, or re-canonicalised by a merge, since
+        the previous call (repeats possible), oldest first."""
+        out = self._touched[self._touched_head:]
+        if self._frames:
+            self._touched_head = len(self._touched)
+        else:
+            self._touched.clear()
+            self._touched_head = 0
+        return out

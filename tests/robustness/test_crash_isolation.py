@@ -149,6 +149,18 @@ class TestReportShape:
         assert report.solver_stats["budget_stops"] >= 1
         assert "budget stops" in report.render()
 
+    def test_closure_cap_counters_surface_in_render(self):
+        from repro.hybrid.pipeline import HybridReport
+
+        clean = HybridReport(solver_stats={"checks": 5, "close_round_caps": 0})
+        assert "-- solver:" not in clean.render()
+        capped = HybridReport(
+            solver_stats={"checks": 5, "close_round_caps": 3, "close_exhaustive_caps": 1}
+        )
+        rendered = capped.render()
+        assert "3 closure round caps" in rendered
+        assert "1 exhaustive closure caps" in rendered
+
     def test_budget_exhausted_is_catchable_at_solver_level(self, small_env):
         """The typed exception (not a bare Exception) is what crosses
         the solver boundary — callers can rely on the taxonomy."""
