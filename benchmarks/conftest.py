@@ -4,7 +4,8 @@ Besides the fixtures, this conftest tracks the perf trajectory: at the
 end of a benchmark session it writes ``BENCH_PR10.json`` at the repo
 root with per-test wall-clock, the aggregate solver counters
 (:data:`repro.solver.core.GLOBAL_STATS` — checks, LRU cache
-hits/misses/evictions, branches, sequence unrolls, plus the robustness
+hits/misses/evictions, cross-query prefix-cache hits/misses, branches,
+sequence unrolls, plus the robustness
 counters: branch-cap unknowns, cooperative-budget stops and closure cap
 hits), the pool's
 fault/retry counters (:data:`repro.parallel.PARALLEL_STATS` — broken
@@ -20,12 +21,6 @@ accumulate while the benches run: per-function phase timings
 :func:`repro.obs.trace.phases_snapshot`), the slowest solver queries,
 and the ``tactic.*`` / ``gillian.*`` counters — so a perf regression
 in the record can be localised to a phase without re-running anything.
-
-Since PR 6 it also records the solver strategy portfolio: per-strategy
-query counts and latency histograms (``solver.strategy.*``) and the
-process-wide selector's decision/exploration counters, hit rate and
-per-bucket winners — the evidence behind the E10 auto-vs-baseline
-comparison (gauges ``bench.e10.*``).
 
 Since PR 10 it also records the work-stealing scheduler: the pool's
 steal / queue-wait counters, the memory-tier vs. disk split of the
@@ -50,10 +45,10 @@ from repro.obs import top_queries
 from repro.obs.metrics import metrics
 from repro.obs.report import metrics_summary
 from repro.obs.trace import phases_since
-from repro.parallel import PARALLEL_STATS, reset_parallel_stats
+from repro.parallel import PARALLEL_STATS
 from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
-from repro.store import STORE_STATS, reset_store_stats
+from repro.store import STORE_STATS
 
 _ROOT = Path(__file__).resolve().parent.parent
 _BENCH_JSON = _ROOT / "BENCH_PR10.json"
@@ -67,15 +62,15 @@ _store_totals: dict = {}
 def isolated_global_counters():
     """Zero the pool/store counters per benchmark, accumulate the
     deltas into the session totals for the JSON record."""
-    reset_parallel_stats()
-    reset_store_stats()
+    metrics.reset("parallel")
+    metrics.reset("store")
     yield
     for k, v in PARALLEL_STATS.items():
         _parallel_totals[k] = _parallel_totals.get(k, 0) + v
     for k, v in STORE_STATS.items():
         _store_totals[k] = _store_totals.get(k, 0) + v
-    reset_parallel_stats()
-    reset_store_stats()
+    metrics.reset("parallel")
+    metrics.reset("store")
 
 
 @pytest.fixture(scope="session")
@@ -154,23 +149,6 @@ def pytest_sessionfinish(session, exitstatus):
         for k, v in sorted(snapshot["counters"].items())
         if k.startswith("tactic.") or k.startswith("gillian.")
     }
-    from repro.solver.portfolio import GLOBAL_SELECTOR
-
-    strategy_counters = {
-        k: v
-        for k, v in sorted(snapshot["counters"].items())
-        if k.startswith("solver.strategy.")
-    }
-    strategy_hists = {
-        k: {
-            "count": h["count"],
-            "total": round(h["total"], 4),
-            "min": round(h["min"], 6) if h["min"] is not None else None,
-            "max": round(h["max"], 6) if h["max"] is not None else None,
-        }
-        for k, h in sorted(snapshot["histograms"].items())
-        if k.startswith("solver.strategy.")
-    }
     payload = {
         "pr": 10,
         **_machine(),
@@ -205,17 +183,6 @@ def pytest_sessionfinish(session, exitstatus):
             {**q, "seconds": round(q["seconds"], 4)} for q in top_queries()
         ],
         "tactic_counts": tactic_counts,
-        # Strategy portfolio (PR 6): per-strategy query counts and
-        # latency histograms, plus the learned selector's state —
-        # decisions/explorations, hit rate, per-bucket winners. The
-        # bench.e10.* gauges inside "metrics" carry the measured
-        # auto-vs-baseline solve self-times on the two hottest
-        # functions.
-        "strategies": {
-            "counters": strategy_counters,
-            "histograms": strategy_hists,
-            "selector": GLOBAL_SELECTOR.summary(),
-        },
         # Work-stealing scheduler (PR 10): the session-total pool
         # counters (steals, queue wait) and the tiered-store split
         # (memory vs. disk hits, raw disk reads). The bench.e11.*

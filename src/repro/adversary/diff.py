@@ -1,11 +1,12 @@
 """Differential re-verification — the third adversary pass.
 
-PRs 3–6 layered caching, incremental propagation and a learned
-strategy portfolio under the pipeline.  Each is verdict-preserving *by
-design*; this pass checks it *in fact*: a sample of functions is
-re-verified from scratch with every acceleration disabled — baseline
-search strategy, no proof store, serial — and the fresh verdicts are
-compared against the shipped ones.
+The pipeline layers caching, incremental propagation and cross-query
+prefix reuse in the solver under the proof path.  Each is
+verdict-preserving *by design*; this pass checks it *in fact*: a
+sample of functions is re-verified from scratch with every
+acceleration disabled — the reference solver search
+(``reuse_prefixes=False``), no proof store, serial — and the fresh
+verdicts are compared against the shipped ones.
 
 A verified/refuted flip is a ``cross_check_failed`` (some layer
 changed an answer).  Timeouts and crashes on either side are
@@ -38,7 +39,7 @@ def diff_function(verifier, name: str, baseline_entries: list) -> DiffResult:
         verifier.program,
         verifier.ownables,
         verifier.contracts,
-        solver=Solver(strategy="baseline"),
+        solver=Solver(reuse_prefixes=False),
         manual_pure_pre=verifier.manual_pure_pre,
         auto_extract=verifier.auto_extract,
         budget=verifier.budget,

@@ -5,10 +5,9 @@ contract that any implementation satisfies (or an encoding that proves
 everything) is vacuous.  This pass plants deterministic bugs in the
 body — binop flips, off-by-one constants, dropped statements and
 calls, flipped ghost formulas — and re-verifies each mutant under a
-tight budget with every acceleration layer disabled (baseline solver
-strategy, no proof store).  A verified function where **no** mutant
-flips to ``refuted`` is flagged ``suspect``: the proof demonstrably
-does not constrain the body.
+tight budget with a fresh solver and no proof store.  A verified
+function where **no** mutant flips to ``refuted`` is flagged
+``suspect``: the proof demonstrably does not constrain the body.
 
 Mutants are generated in a fixed priority order (highest expected kill
 rate first) so the count-bounded probe is deterministic and the CI
@@ -286,8 +285,8 @@ def probe_function(verifier, name: str, *, max_mutants: int, budget) -> ProbeRes
     """Re-verify mutants of ``name`` until one is refuted.
 
     ``verifier`` is the original :class:`HybridVerifier`; each mutant
-    gets a fresh verifier over a patched program with the baseline
-    solver strategy, no proof store, and the tight ``budget``.
+    gets a fresh verifier over a patched program with a fresh solver,
+    no proof store, and the tight ``budget``.
     """
     from repro.hybrid.pipeline import HybridVerifier
     from repro.solver.core import Solver
@@ -305,7 +304,7 @@ def probe_function(verifier, name: str, *, max_mutants: int, budget) -> ProbeRes
             prog,
             verifier.ownables,
             verifier.contracts,
-            solver=Solver(strategy="baseline"),
+            solver=Solver(),
             manual_pure_pre=verifier.manual_pure_pre,
             auto_extract=verifier.auto_extract,
             budget=budget,

@@ -66,7 +66,6 @@ from repro.lang.mir import Body, Program
 from repro.pearlite.ast import PearliteSpec
 from repro.pearlite.encode import PearliteEncoder
 from repro.solver.core import GLOBAL_STATS, Solver
-from repro.solver.portfolio import priors_from_metrics, selector_path
 
 
 #: Per-entry verdicts, in report-aggregation precedence order (a report
@@ -79,32 +78,6 @@ _SEVERITY = ("error", "crashed", "timeout", "refuted")
 _SOLVER_DEGRADATIONS = (
     "unknowns", "budget_stops", "close_round_caps", "close_exhaustive_caps",
 )
-
-_STRATEGY_PREFIX = "solver.strategy."
-
-
-def _strategy_stats_since(
-    metrics_before: dict, selector, selector_before: dict
-) -> dict:
-    """Per-strategy ``{queries, seconds}`` for one run, from the
-    metrics deltas (counters and histograms both ride the fork-worker
-    protocol, so jobs=N totals match a serial run); adds the selector's
-    summary under ``"selector"`` when auto mode learned anything."""
-    delta = metrics.delta_since(metrics_before)
-    out: dict[str, dict] = {}
-    for k, v in delta.get("counters", {}).items():
-        if k.startswith(_STRATEGY_PREFIX) and k.endswith(".queries"):
-            name = k[len(_STRATEGY_PREFIX):-len(".queries")]
-            out.setdefault(name, {"queries": 0, "seconds": 0.0})["queries"] = v
-    for k, hd in delta.get("histograms", {}).items():
-        if k.startswith(_STRATEGY_PREFIX) and k.endswith(".seconds"):
-            name = k[len(_STRATEGY_PREFIX):-len(".seconds")]
-            rec = out.setdefault(name, {"queries": 0, "seconds": 0.0})
-            rec["seconds"] = round(hd.get("total", 0.0), 6)
-    if selector.delta_since(selector_before):
-        out["selector"] = selector.summary()
-    return out
-
 
 @dataclass
 class HybridEntry:
@@ -151,11 +124,6 @@ class HybridReport:
     #: Slowest solver queries on record at run() end
     #: (``[{seconds, function, query}, …]``, slowest first).
     top_queries: list = field(default_factory=list)
-    #: Per-strategy query counts / latency for *this run*
-    #: (``{strategy: {queries, seconds}}``, from the metrics deltas)
-    #: plus a ``"selector"`` entry with the portfolio selector's
-    #: summary when auto mode made decisions.
-    strategy_stats: dict = field(default_factory=dict)
     #: Adversarial cross-check results (``--verify-verdicts`` /
     #: ``REPRO_ADVERSARY=1``): an
     #: :class:`repro.adversary.report.AdversaryReport`, or ``None``
@@ -249,9 +217,6 @@ class HybridReport:
                     metrics.snapshot()["counters"],
                 )
             )
-            if self.strategy_stats:
-                lines.append("")
-                lines.append(obs_report.render_strategies(self.strategy_stats))
         if self.adversary is not None:
             lines.append("")
             lines.append(self.adversary.render())
@@ -271,20 +236,11 @@ class HybridVerifier:
         auto_extract: bool = False,
         budget: Optional[BudgetSpec] = None,
         store: Optional[ProofStore] = None,
-        strategy: Optional[str] = None,
     ) -> None:
         self.program = program
         self.ownables = ownables
         self.contracts = contracts
-        self.solver = solver or Solver(strategy=strategy)
-        if strategy is not None and solver is not None:
-            # Explicit knob beats whatever the provided solver had;
-            # validate eagerly so a typo fails at construction.
-            from repro.solver.strategies import MODES, get_strategy
-
-            if strategy not in MODES:
-                get_strategy(strategy)
-            self.solver.strategy = strategy
+        self.solver = solver or Solver()
         self.encoder = PearliteEncoder(ownables)
         self.creusot = CreusotVerifier(program, ownables, contracts, self.solver)
         self.manual_pure_pre = manual_pure_pre or {}
@@ -448,22 +404,7 @@ class HybridVerifier:
         store_before = dict(STORE_STATS)
         solver_before = dict(GLOBAL_STATS)
         phases_before = obs.phases_snapshot()
-        metrics_before = metrics.delta_snapshot()
-        selector_before = self.solver.selector.delta_snapshot()
-        if self.solver.strategy == "auto":
-            # Seed the selector's global priors from whatever strategy
-            # timing the obs layer has already collected this process
-            # (fixed-strategy runs, race mode, earlier auto runs): a
-            # strategy that history shows far off the best never gets
-            # a cold-bucket warmup window.
-            self.solver.selector.seed(priors_from_metrics(metrics))
         if self.store is not None:
-            # Warm the portfolio selector from the previous runs that
-            # shared this store (once per path per process — repeat
-            # runs must not double-count).
-            self.solver.selector.load(
-                selector_path(self.store.root), once=True
-            )
             # Seed the scheduler's longest-job-first ordering from the
             # per-function verify times previous runs persisted here.
             GLOBAL_COSTS.load(costs_path(self.store.root), once=True)
@@ -529,12 +470,7 @@ class HybridVerifier:
             }
         report.phase_stats = obs.phases_since(phases_before)
         report.top_queries = obs.top_queries()
-        report.strategy_stats = _strategy_stats_since(
-            metrics_before, self.solver.selector, selector_before
-        )
         if self.store is not None:
-            # Persist what the selector learned (best-effort, atomic).
-            self.solver.selector.save(selector_path(self.store.root))
             GLOBAL_COSTS.save(costs_path(self.store.root))
         obs_trace.flush()
         return report

@@ -393,7 +393,7 @@ def merge_queries(records: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 
 #: Auxiliary delta providers: subsystems with process-local learned
-#: state (e.g. the solver's strategy selector) register
+#: state (e.g. the scheduler's per-function cost model) register
 #: (snapshot, delta_since, merge) triples here so their state rides
 #: the same worker-delta protocol as metrics and phases without this
 #: module importing them.

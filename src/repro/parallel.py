@@ -84,11 +84,6 @@ PARALLEL_STATS = metrics.register_legacy(
 )
 
 
-def reset_parallel_stats() -> None:
-    """Deprecated alias: resets route through the metrics registry."""
-    metrics.reset("parallel")
-
-
 def cgroup_cpu_quota(root: str = "/sys/fs/cgroup") -> Optional[int]:
     """The container's effective CPU limit from its cgroup quota
     (ceil(quota / period)), or ``None`` when unlimited or unreadable.

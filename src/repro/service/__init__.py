@@ -1,7 +1,7 @@
 """``repro.service`` — the resilient verification service.
 
 A long-lived daemon that keeps parsed programs, the interner-backed
-term graph, the strategy selector and a hot proof store resident
+term graph, the solver's caches and a hot proof store resident
 across requests, so an edit-verify loop pays for *exactly what
 changed* instead of a cold pipeline start per invocation:
 

@@ -1,8 +1,8 @@
 """One corpus's hot verification state inside the daemon.
 
 A session is what makes the daemon *warm*: the parsed program, the
-Ownable registry, the solver (with its caches and learned strategy
-selector) and the merged contract table stay resident across
+Ownable registry, the solver (with its result and prefix caches)
+and the merged contract table stay resident across
 requests, and the invalidation index tracks what the session has
 already established. A resubmission with nothing changed re-verifies
 **zero** functions and never re-enters program setup — the
@@ -90,8 +90,8 @@ class ServiceSession:
         self.name = corpus_name
         self.store = store
         self.base_budget = budget if budget is not None else BudgetSpec.from_env()
-        #: One solver for the session's lifetime: its result cache and
-        #: strategy selector stay hot across program reloads.
+        #: One solver for the session's lifetime: its result and prefix
+        #: caches stay hot across program reloads.
         self.solver = solver or Solver()
         self.index = InvalidationIndex()
         self._results: dict[str, list[HybridEntry]] = {}
@@ -264,7 +264,7 @@ class ServiceSession:
         if self.store is not None:
             self.store.begin_run(todo)
             # Seed longest-job-first ordering from persisted verify
-            # times (once per path per process, like the selector).
+            # times (once per path per process).
             GLOBAL_COSTS.load(costs_path(self.store.root), once=True)
         chunk_size = max(1, jobs)
         stopped = None

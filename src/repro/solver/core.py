@@ -31,20 +31,17 @@ instead of recomputing it per branch, and the pending work-list is a
 persistent cons-list so the disjunction fan-out never copies it.
 Closure is incremental too: structural rules revisit only the terms
 the congruence closure touched since the previous round, and a
-sequence is unrolled only when something consumes its elements. The
-cross-query result cache is a bounded LRU (capacity via the
-``REPRO_SOLVER_CACHE`` knob) with hit/miss/eviction counters in
-:attr:`Solver.stats`.
+sequence is unrolled only when something consumes its elements.
 
-The traversal itself — case-split order, theory-closure timing,
-literal ordering — is pluggable: a :class:`SearchStrategy`
-(:mod:`repro.solver.strategies`) decides it, and every registered
-strategy returns identical verdicts by construction (enforced by a
-differential suite and the ``race`` mode). ``REPRO_SOLVER_STRATEGY``
-picks a fixed strategy by name, ``auto`` selects per query via the
-learned portfolio selector (:mod:`repro.solver.portfolio`), and
-``race`` runs every strategy on every query, raising
-:class:`~repro.solver.strategies.StrategyDivergence` on disagreement.
+The sharing extends *across* queries: an entailment query is
+``pc + [¬goal]``, and consecutive queries from one symbolic state
+repeat ``pc``. The literal conjuncts of a query's prefix are closed
+exhaustively once into a branch kept in a small per-solver LRU, and
+the goal is searched on top of it (DESIGN.md §10);
+``Solver(reuse_prefixes=False)`` is the reference search without it.
+The cross-query result cache is a bounded LRU (capacity via the
+``REPRO_SOLVER_CACHE`` knob). Both caches count hits and misses in
+:attr:`Solver.stats`.
 """
 
 from __future__ import annotations
@@ -60,9 +57,8 @@ from repro.errors import BudgetExhausted  # re-exported; was defined here
 from repro.obs import clock
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import metrics
-from repro.solver.features import query_features
 from repro.solver.intervals import LinearStore
-from repro.solver.sorts import INT, OptionSort, SeqSort
+from repro.solver.sorts import BOOL, INT, OptionSort, SeqSort
 from repro.solver.terms import (
     FALSE,
     TRUE,
@@ -72,12 +68,14 @@ from repro.solver.terms import (
     Term,
     Var,
     add,
+    and_,
     eq,
     fresh_var,
     intlit,
     is_some,
     none,
     not_,
+    or_,
     rebuild,
     seq_cons,
     seq_empty,
@@ -85,6 +83,7 @@ from repro.solver.terms import (
     seq_len,
     seq_tail,
     some,
+    substitute,
     subterms,
 )
 
@@ -366,12 +365,12 @@ class TheoryBranch:
         ``close_exhaustive_caps`` (no query of the §6 corpus, RawStack
         or RawVec reaches it, nor the round cap).
 
-        Every search strategy decides a fully-asserted leaf with this,
-        so the leaf verdict is a function of the asserted literal set
-        alone — independent of how many intermediate ``close()`` calls
-        the strategy's closure timing performed on the way down. That
-        independence is what makes cross-strategy verdict equivalence
-        hold by construction rather than by luck."""
+        The search decides every fully-asserted leaf with this, so the
+        leaf verdict is a function of the asserted literal set alone —
+        independent of how many intermediate ``close()`` calls ran on
+        the way down, and of whether the literals were closed in an
+        earlier query's cached prefix. That independence is what makes
+        prefix reuse verdict-preserving by construction."""
         for _ in range(max_calls):
             self.close()
             if not self._dirty or self.conflict():
@@ -383,7 +382,7 @@ class TheoryBranch:
 
 
 # ---------------------------------------------------------------------------
-# Branch search (pluggable; see repro.solver.strategies)
+# Branch search
 # ---------------------------------------------------------------------------
 
 
@@ -411,13 +410,68 @@ GLOBAL_STATS = metrics.register_legacy(
         "unrolls": 0,
         "close_round_caps": 0,
         "close_exhaustive_caps": 0,
+        "prefix_hits": 0,
+        "prefix_misses": 0,
     },
 )
 
 
-def reset_global_stats() -> None:
-    """Deprecated alias: resets route through the metrics registry."""
-    metrics.reset("solver")
+#: Per-query latency instruments. ``perfbench`` builds its
+#: ``solver.check_sat`` rows from the ``solver.strategy.*.seconds``
+#: histograms, so the name keeps that prefix.
+_QUERY_METRIC = "solver.strategy.search"
+
+#: Closed literal prefixes each solver keeps (each holds a whole
+#: TheoryBranch; the query stream alternates between a handful of
+#: symbolic states at a time).
+PREFIX_SLOTS = 4
+
+
+def _find_ite(t: Term) -> Optional[App]:
+    """The first ``ite`` application in ``t`` (to lift), if any."""
+    for s in subterms(t):
+        if isinstance(s, App) and s.op == "ite":
+            return s
+    return None
+
+
+def _splits(f: Term) -> bool:
+    """Whether the search case-splits on ``f`` (a disjunction, a
+    negated ``and``/``or``, a numeric disequality or anything holding
+    an ``ite``) instead of asserting it as a literal."""
+    if not isinstance(f, App):
+        return False
+    if f.op == "or":
+        return True
+    if f.op == "not":
+        inner = f.args[0]
+        if isinstance(inner, App) and (
+            inner.op in ("and", "or")
+            or (inner.op == "=" and inner.args[0].sort.is_numeric())
+        ):
+            return True
+    return _find_ite(f) is not None
+
+
+def _split_prefix(prefix: Sequence[Term]) -> tuple[list[Term], list[Term]]:
+    """``and``-flatten a query prefix into its literal conjuncts and the
+    residue (``FALSE`` or anything that case-splits) that the search
+    decides on top of them."""
+    lits: list[Term] = []
+    residue: list[Term] = []
+    for f in prefix:
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, App) and g.op == "and":
+                stack.extend(g.args)
+            elif g == TRUE:
+                continue
+            elif g != FALSE and not _splits(g):
+                lits.append(g)
+            else:
+                residue.append(g)
+    return lits, residue
 
 
 def _describe_query(fs: Sequence[Term]) -> str:
@@ -461,25 +515,6 @@ def _cache_capacity_from_env(environ: Optional[dict] = None) -> int:
     return capacity
 
 
-def _strategy_from_env(environ: Optional[dict] = None) -> str:
-    from repro.solver.strategies import MODES, STRATEGIES
-
-    env = os.environ if environ is None else environ
-    raw = (env.get("REPRO_SOLVER_STRATEGY") or "").strip()
-    if not raw:
-        return "baseline"
-    if raw in STRATEGIES or raw in MODES:
-        return raw
-    warnings.warn(
-        f"REPRO_SOLVER_STRATEGY={raw!r} is not a registered strategy "
-        f"({', '.join(STRATEGIES)}) or mode ({', '.join(MODES)}); "
-        f"using 'baseline'",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return "baseline"
-
-
 class Solver:
     """Facade: check satisfiability / entailment with caching.
 
@@ -487,14 +522,12 @@ class Solver:
     entries, default from ``REPRO_SOLVER_CACHE``); hit/miss/eviction
     counters and the configured capacity live in :attr:`stats`.
 
-    ``strategy`` picks how cache-missing queries are searched: a
-    concrete strategy name from :data:`repro.solver.strategies.STRATEGIES`
-    (default ``baseline``), ``auto`` (per-query learned selection via
-    ``selector`` — default the process-wide
-    :data:`repro.solver.portfolio.GLOBAL_SELECTOR`), or ``race`` (run
-    every strategy, assert verdict agreement). Defaults come from
-    ``REPRO_SOLVER_STRATEGY``. All strategies share this instance's
-    result cache — verdicts are strategy-independent by invariant.
+    ``reuse_prefixes`` (default on) keeps the closed literal prefixes of
+    recent queries in a :data:`PREFIX_SLOTS`-entry LRU and decides each
+    query's goal on top of the cached branch (``prefix_hits`` /
+    ``prefix_misses`` in :attr:`stats`). ``reuse_prefixes=False`` is the
+    reference search — every query from a fresh branch — which the
+    adversary's differential pass re-verifies with.
 
     :attr:`budget` (a :class:`repro.budget.Budget` or ``None``) is the
     cooperative per-function budget: every cache-missing query ticks
@@ -509,24 +542,18 @@ class Solver:
         self,
         branch_budget: int = 4096,
         cache_capacity: Optional[int] = None,
-        strategy: Optional[str] = None,
-        selector=None,
+        *,
+        reuse_prefixes: bool = True,
     ) -> None:
-        from repro.solver.portfolio import GLOBAL_SELECTOR
-        from repro.solver.strategies import MODES, get_strategy
-
         self.branch_budget = branch_budget
         if cache_capacity is None:
             cache_capacity = _cache_capacity_from_env()
         self.cache_capacity = cache_capacity
-        if strategy is None:
-            strategy = _strategy_from_env()
-        elif strategy not in MODES:
-            get_strategy(strategy)  # explicit unknown name: raise now
-        self.strategy = strategy
-        self.selector = selector if selector is not None else GLOBAL_SELECTOR
+        self.reuse_prefixes = reuse_prefixes
         self.budget = None  # Optional[repro.budget.Budget]
         self._cache: OrderedDict[frozenset, Status] = OrderedDict()
+        #: literal tuple -> (closed TheoryBranch, conflict)
+        self._prefixes: OrderedDict[tuple, tuple[TheoryBranch, bool]] = OrderedDict()
         self.stats = {
             "checks": 0,
             "cache_hits": 0,
@@ -539,6 +566,8 @@ class Solver:
             "unrolls": 0,
             "close_round_caps": 0,
             "close_exhaustive_caps": 0,
+            "prefix_hits": 0,
+            "prefix_misses": 0,
         }
 
     def _tick(self, key: str, n: int = 1) -> None:
@@ -565,40 +594,16 @@ class Solver:
                 raise
         self._tick("checks")
         self._tick("cache_misses")
-        # Strategy dispatch: fixed name, learned per-query (auto), or
-        # differential (race). Decided before the timer starts so the
-        # observed latency is pure search cost.
-        mode = self.strategy
-        fkey = None
-        if mode == "auto":
-            fkey = query_features(fs)
-            sname, explored = self.selector.choose(fkey)
-        elif mode == "race":
-            sname = "race"
-        else:
-            sname = mode
         tracing = obs_trace.enabled()
         if tracing:
             obs_trace.emit("B", "solve", {"query": _describe_query(fs)})
-            if mode == "auto":
-                obs_trace.instant_event(
-                    "strategy.decision",
-                    **{
-                        "strategy": sname,
-                        "bucket": fkey,
-                        "strategy.explore": int(explored),
-                    },
-                )
         t0 = clock.now()
         try:
             if FALSE in fs:
                 result = Status.UNSAT
             else:
                 try:
-                    if mode == "race":
-                        result = self._race(fs)
-                    else:
-                        result = self._run_strategy(sname, fs)
+                    result = self._decide(fs)
                 except _BranchCapReached:
                     result = Status.UNKNOWN
                     self._tick("unknowns")
@@ -619,13 +624,8 @@ class Solver:
                 obs_trace.emit("E", "solve")
             obs_trace.record_phase(obs_trace.current_function(), "solve", dur)
             obs_trace.record_query(dur, lambda: _describe_query(fs))
-        # Only completed searches feed the learning loop and the
-        # per-strategy metrics (race records its own, per contestant).
-        if mode == "auto":
-            self.selector.observe(fkey, sname, dur)
-        if mode != "race":
-            metrics.inc(f"solver.strategy.{sname}.queries")
-            metrics.observe(f"solver.strategy.{sname}.seconds", dur)
+        metrics.inc(f"{_QUERY_METRIC}.queries")
+        metrics.observe(f"{_QUERY_METRIC}.seconds", dur)
         cache[key] = result
         if len(cache) > self.cache_capacity:
             cache.popitem(last=False)
@@ -644,51 +644,155 @@ class Solver:
     def equal_under(self, pc: Sequence[Term], a: Term, b: Term) -> bool:
         return self.entails(pc, eq(a, b))
 
-    # -- search (delegated to the pluggable strategies) ----------------------
+    # -- search ----------------------------------------------------------------
 
-    def _run_strategy(self, name: str, formulas: list[Term]) -> Status:
-        from repro.solver.strategies import get_strategy
+    def _decide(self, fs: list[Term]) -> Status:
+        """Search a cache-missing query that contains no ``FALSE``.
 
-        return get_strategy(name).search(self, formulas)
+        With prefix reuse and at least two formulas, the literal
+        conjuncts of ``fs[:-1]`` (an entailment query's path condition)
+        come closed from :meth:`_prefix`; the last formula (the negated
+        goal) and the prefix's splitting residue are searched on top,
+        between ``push`` and ``pop``, so the cached branch is left as
+        found even when the search is interrupted. A closed prefix is
+        the asserted literal set plus sound consequences only, and
+        leaves still end in ``close_exhaustive``, so the verdict is the
+        reference search's."""
+        if not self.reuse_prefixes or len(fs) < 2:
+            return self._search_on(fs, TheoryBranch(self._tick))
+        lits, residue = _split_prefix(fs[:-1])
+        branch, conflict = self._prefix(tuple(lits))
+        if conflict:
+            # A refuted literal set refutes every extension.
+            return Status.UNSAT
+        branch.push()
+        try:
+            return self._search_on([fs[-1], *residue], branch)
+        finally:
+            branch.pop()
 
-    def _search(self, formulas: list[Term]) -> Status:
-        """Back-compat entry point: search with the configured strategy
-        (the baseline unless ``strategy=``/``REPRO_SOLVER_STRATEGY``
-        says otherwise; ``auto``/``race`` fall back to baseline here —
-        callers wanting dispatch go through :meth:`check_sat`)."""
-        from repro.solver.strategies import MODES
+    def _prefix(self, lits: tuple) -> tuple[TheoryBranch, bool]:
+        """The exhaustively closed branch of ``lits`` and whether it is
+        refuted, from the prefix LRU or built (and cached) now."""
+        cache = self._prefixes
+        entry = cache.get(lits)
+        if entry is not None:
+            cache.move_to_end(lits)
+            self._tick("prefix_hits")
+            return entry
+        self._tick("prefix_misses")
+        branch = TheoryBranch(self._tick)
+        for lit in lits:
+            branch.assert_literal(lit)
+            if branch.conflict():
+                break
+        if not branch.conflict():
+            branch.close_exhaustive()
+        entry = cache[lits] = (branch, branch.conflict())
+        if len(cache) > PREFIX_SLOTS:
+            cache.popitem(last=False)
+        return entry
 
-        name = "baseline" if self.strategy in MODES else self.strategy
-        return self._run_strategy(name, formulas)
+    def _search_on(self, formulas: Sequence[Term], branch: TheoryBranch) -> Status:
+        """Decide ``formulas`` on top of ``branch``: the DNF search,
+        under this query's ``branch_budget``."""
+        # The work-list is a persistent cons-list ``(head, rest)`` —
+        # branching shares the tail between disjuncts with no copying.
+        # The last formula is processed first.
+        pending = None
+        for f in formulas:
+            pending = (f, pending)
+        if self._branch_sat(pending, branch, [self.branch_budget]):
+            return Status.SAT
+        return Status.UNSAT
 
-    def _race(self, formulas: list[Term]) -> Status:
-        """Run *every* registered strategy on the query and assert the
-        verdicts agree (the executable form of the verdict-equivalence
-        invariant). ``UNKNOWN`` is resource-shaped and never counts as
-        divergence; if every strategy is UNKNOWN the cap is re-raised
-        so the caller's accounting matches a single capped search."""
-        from repro.solver.strategies import STRATEGIES, StrategyDivergence
+    def _branch_sat(
+        self, pending: Optional[tuple], branch: TheoryBranch, budget: list[int]
+    ) -> bool:
+        """Return True if some branch of the formula set looks satisfiable.
 
-        verdicts: dict[str, Status] = {}
-        for name, strategy in STRATEGIES.items():
-            t0 = clock.now()
-            try:
-                verdicts[name] = strategy.search(self, formulas)
-            except _BranchCapReached:
-                verdicts[name] = Status.UNKNOWN
-            finally:
-                dur = clock.now() - t0
-                metrics.inc(f"solver.strategy.{name}.queries")
-                metrics.observe(f"solver.strategy.{name}.seconds", dur)
-        definite = {v for v in verdicts.values() if v != Status.UNKNOWN}
-        if len(definite) > 1:
-            raise StrategyDivergence(
-                f"strategies disagree on {_describe_query(formulas)}: "
-                + ", ".join(f"{n}={v.value}" for n, v in sorted(verdicts.items()))
-            )
-        if not definite:
+        ``pending`` is a cons-list of formulas still to decompose;
+        ``branch`` already holds the literals asserted on the path from
+        the root, and is restored (via push/pop) on exit from each
+        disjunct, so sibling branches share the prefix closure.
+        """
+        budget[0] -= 1
+        if budget[0] <= 0:
             raise _BranchCapReached()
-        return definite.pop()
+        self._tick("branches")
+        if self.budget is not None:
+            self.budget.tick_branch("search")
+        while pending is not None:
+            f, pending = pending
+            if f == TRUE:
+                continue
+            if f == FALSE:
+                return False
+            if isinstance(f, App) and f.op == "and":
+                for a in f.args:
+                    pending = (a, pending)
+                continue
+            if isinstance(f, App) and f.op == "or":
+                if branch.conflict():
+                    return False
+                for d in f.args:
+                    branch.push()
+                    try:
+                        if self._branch_sat((d, pending), branch, budget):
+                            return True
+                    finally:
+                        branch.pop()
+                return False
+            if isinstance(f, App) and f.op == "not":
+                inner = f.args[0]
+                if isinstance(inner, App) and inner.op == "and":
+                    pending = (or_(*[not_(a) for a in inner.args]), pending)
+                    continue
+                if isinstance(inner, App) and inner.op == "or":
+                    for a in inner.args:
+                        pending = (not_(a), pending)
+                    continue
+                if isinstance(inner, App) and inner.op == "ite" and inner.sort == BOOL:
+                    c, t, e = inner.args
+                    pending = (
+                        or_(and_(c, not_(t)), and_(not_(c), not_(e))),
+                        pending,
+                    )
+                    continue
+            if isinstance(f, App) and f.op == "ite" and f.sort == BOOL:
+                c, t, e = f.args
+                pending = (or_(and_(c, t), and_(not_(c), e)), pending)
+                continue
+            # Numeric disequality: split into strict orderings so the
+            # linear layer can participate in refutation.
+            if (
+                isinstance(f, App)
+                and f.op == "not"
+                and isinstance(f.args[0], App)
+                and f.args[0].op == "="
+                and f.args[0].args[0].sort.is_numeric()
+            ):
+                a, b = f.args[0].args
+                pending = (
+                    or_(App("<", (a, b), BOOL), App("<", (b, a), BOOL)),
+                    pending,
+                )
+                continue
+            # Literal-level ite lifting (ite embedded in an atom).
+            ite_term = _find_ite(f)
+            if ite_term is not None and ite_term is not f:
+                c, t, e = ite_term.args
+                then_f = and_(c, substitute(f, {ite_term: t}))
+                else_f = and_(not_(c), substitute(f, {ite_term: e}))
+                pending = (or_(then_f, else_f), pending)
+                continue
+            branch.assert_literal(f)
+            if branch.conflict():
+                return False
+        # Leaf: decided by exhaustive closure, so the verdict depends on
+        # the asserted literal set only — not on how we got here.
+        branch.close_exhaustive()
+        return not branch.conflict()
 
 
 _DEFAULT_SOLVER: Optional[Solver] = None

@@ -175,8 +175,8 @@ class LinearStore:
     # Constraints awaiting (re)propagation: newly added ones plus every
     # constraint sharing an atom with a tightened bound. Propagation is
     # demand-driven — a propagate() call with an empty work-list is a
-    # near no-op, which is what makes reusing an already-closed prefix
-    # (the prefix_reuse search strategy) cheap.
+    # near no-op, which is what makes searching on top of an
+    # already-closed cached prefix (Solver._decide) cheap.
     _queue: list = field(default_factory=list)
     _queued: set = field(default_factory=set)
     # -- backtracking: mutation records since the last push().

@@ -31,7 +31,6 @@ from repro.store.store import (
     LAYOUT_FILENAME,
     STORE_STATS,
     ProofStore,
-    reset_store_stats,
     tier_kwargs_from_env,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "canon",
     "function_fingerprint",
     "logic_digest",
-    "reset_store_stats",
     "tier_kwargs_from_env",
 ]

@@ -11,9 +11,10 @@ from repro import faultinject
 from repro.gilsonite.ownable import OwnableRegistry
 from repro.hybrid.pipeline import HybridVerifier
 from repro.lang.mir import Program
+from repro.obs.metrics import metrics
 from repro.parallel import fork_available
 from repro.sched import GLOBAL_COSTS, COSTS_FILENAME, costs_path
-from repro.store import ProofStore, reset_store_stats
+from repro.store import ProofStore
 
 from tests.robustness.conftest import FAST_FNS, _fast_body
 from tests.hybrid.test_parallel import _fingerprint
@@ -32,12 +33,12 @@ def fresh_env():
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    reset_store_stats()
+    metrics.reset("store")
     faultinject.clear()
     GLOBAL_COSTS.clear()
     yield
     faultinject.clear()
-    reset_store_stats()
+    metrics.reset("store")
     GLOBAL_COSTS.clear()
 
 

@@ -5,9 +5,7 @@ import pytest
 
 from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import Metrics, metrics
-from repro.parallel import PARALLEL_STATS, reset_parallel_stats
-from repro.solver.core import GLOBAL_STATS, reset_global_stats
-from repro.store.store import STORE_STATS, reset_store_stats
+from repro.solver.core import GLOBAL_STATS
 
 
 class TestInstruments:
@@ -30,8 +28,8 @@ class TestInstruments:
 
 
 class TestLegacyGroups:
-    """The four historical stats dicts are absorbed as named groups;
-    the old ``reset_*_stats`` functions are thin aliases."""
+    """The historical stats dicts are absorbed as named groups and
+    reset through the registry."""
 
     def test_groups_registered(self):
         groups = metrics.snapshot()["groups"]
@@ -42,17 +40,6 @@ class TestLegacyGroups:
         GLOBAL_STATS["checks"] += 7
         metrics.reset("solver")
         assert GLOBAL_STATS["checks"] == 0
-
-    def test_deprecated_aliases_route_through_registry(self):
-        GLOBAL_STATS["checks"] += 1
-        PARALLEL_STATS["fanouts"] += 1
-        STORE_STATS["hits"] += 1
-        reset_global_stats()
-        reset_parallel_stats()
-        reset_store_stats()
-        assert GLOBAL_STATS["checks"] == 0
-        assert PARALLEL_STATS["fanouts"] == 0
-        assert STORE_STATS["hits"] == 0
 
     def test_unknown_group_raises(self):
         with pytest.raises(KeyError):

@@ -13,7 +13,8 @@ from repro import faultinject
 from repro.budget import BudgetSpec
 from repro.errors import BudgetExhausted
 from repro.hybrid.pipeline import HybridVerifier
-from repro.parallel import PARALLEL_STATS, fork_available, reset_parallel_stats
+from repro.obs.metrics import metrics
+from repro.parallel import PARALLEL_STATS, fork_available
 
 from tests.robustness.conftest import DIVERGING, FAST_FNS, fingerprint
 
@@ -40,7 +41,7 @@ class TestKilledWorker:
         """os._exit in a worker breaks the pool; the lost items are
         retried serially in the parent (where the crash rule does not
         fire) and the report comes back whole and identical."""
-        reset_parallel_stats()
+        metrics.reset("parallel")
         faultinject.install("parallel.worker@fn2:crash")
         report = make_verifier(small_env).run(FAST_FNS, jobs=2)
         assert fingerprint(report) == fingerprint(serial_baseline)

@@ -8,12 +8,12 @@ import pytest
 import repro.parallel as parallel
 from repro import faultinject
 from repro.errors import WorkerCrashed
+from repro.obs.metrics import metrics
 from repro.parallel import (
     PARALLEL_STATS,
     default_jobs,
     fanout,
     fork_available,
-    reset_parallel_stats,
 )
 
 needs_fork = pytest.mark.skipif(
@@ -64,7 +64,7 @@ class TestSerialPath:
 @needs_fork
 class TestPoolPath:
     def test_worker_exception_does_not_lose_siblings(self):
-        reset_parallel_stats()
+        metrics.reset("parallel")
         out = fanout(
             fail_on_three, None, [1, 2, 3, 4, 5], jobs=2,
             on_error=lambda item, exc: ("failed", item),
@@ -80,14 +80,14 @@ class TestPoolPath:
         """os._exit(1) in a worker breaks the pool; the affected items
         re-run serially in the parent (where the guard in the worker fn
         keeps them alive) and the full result set comes back."""
-        reset_parallel_stats()
+        metrics.reset("parallel")
         out = fanout(exit_on_three, None, [1, 2, 3, 4, 5], jobs=2)
         assert out == [2, 4, 6, 8, 10]
         assert PARALLEL_STATS["broken_pools"] == 1
         assert PARALLEL_STATS["serial_retries"] >= 1
 
     def test_reentrant_fanout_degrades_to_serial(self):
-        reset_parallel_stats()
+        metrics.reset("parallel")
         parallel._ACTIVE = True
         try:
             out = fanout(double, None, [1, 2, 3], jobs=4)

@@ -3,9 +3,10 @@
 The §6 LinkedList functions (with the E7-style safe client), RawStack
 and RawVec are verified through the hybrid pipeline, each program with
 a fresh ``Solver``. Every verdict must match the known answer — the
-negative controls refuted — and no solver query may stop its closure at
-a round cap or an exhaustive-closure cap: every branch reaches a true
-fixpoint.
+negative controls refuted — with the default search and with the
+reference search (``reuse_prefixes=False``), and no solver query may
+stop its closure at a round cap or an exhaustive-closure cap: every
+branch reaches a true fixpoint.
 """
 
 import pytest
@@ -175,24 +176,41 @@ def corpus():
     return out
 
 
-@pytest.fixture(scope="module")
-def runs():
+def _run_corpus(**solver_kwargs):
     results = []
     for program, ownables, contracts, manual in corpus():
-        solver = Solver()
+        solver = Solver(**solver_kwargs)
         report = HybridVerifier(program, ownables, contracts, solver=solver,
                                 manual_pure_pre=manual, store=None).run(jobs=1)
         results.append((report, solver))
     return results
 
 
-def test_known_verdicts(runs):
+def _verdicts(runs):
     got = {}
     for report, _ in runs:
         for e in report.entries:
             kind = SAFETY if e.note.startswith("type safety") else FUNCTIONAL
             got[(e.function, kind)] = e.status
-    assert got == EXPECTED
+    return got
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return _run_corpus()
+
+
+def test_known_verdicts(runs):
+    assert _verdicts(runs) == EXPECTED
+
+
+def test_reference_search_agrees(runs):
+    """The search without cross-query prefix reuse (what the
+    adversary's differential pass re-verifies with) reaches the same
+    verdicts, and the default search did reuse prefixes."""
+    assert _verdicts(_run_corpus(reuse_prefixes=False)) == EXPECTED
+    for _, solver in runs:
+        assert solver.stats["prefix_hits"] > 0
 
 
 def test_no_closure_cap_hits(runs):

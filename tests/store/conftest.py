@@ -10,7 +10,7 @@ import pytest
 from repro import faultinject
 from repro.gilsonite.ownable import OwnableRegistry
 from repro.lang.mir import Program
-from repro.store import reset_store_stats
+from repro.obs.metrics import metrics
 
 from tests.robustness.conftest import FAST_FNS, _diverging_body, _fast_body
 
@@ -28,8 +28,8 @@ def env():
 
 @pytest.fixture(autouse=True)
 def clean_counters_and_faults():
-    reset_store_stats()
+    metrics.reset("store")
     faultinject.clear()
     yield
     faultinject.clear()
-    reset_store_stats()
+    metrics.reset("store")
