@@ -21,6 +21,7 @@ from repro.hybrid.pipeline import HybridVerifier
 from repro.lang.mir import Program
 from repro.parallel import fork_available
 from repro.store import ProofStore
+from repro.store.journal import Journal
 
 from tests.robustness.conftest import FAST_FNS, _fast_body, fingerprint
 
@@ -57,6 +58,12 @@ def entry_count(store_root):
     if not entries.exists():
         return 0
     return sum(1 for _ in entries.glob("*/*.json"))
+
+
+def journaled_count(store_root):
+    """Functions the journal records as completed. A record follows its
+    durable entry file, so this trails :func:`entry_count`."""
+    return len(Journal(store_root / "journal.jsonl").completed_fingerprints())
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -107,12 +114,16 @@ def test_sigkill_during_publish_resumes(tmp_path):
     env = fresh_env()
     baseline = HybridVerifier(*env, {}).run(FAST_FNS, jobs=1)
 
-    # Stall fn2's publish long enough to land the kill inside it.
+    # Stall fn2's publish long enough to land the kill inside it. Wait
+    # for fn1's journal record, not its entry file: the file is renamed
+    # into place (and its directory fsynced) before the record is
+    # appended, and a kill in between would leave fn1 unjournaled.
     faultinject.install("store.write@fn2:delay:30")
     p = run_victim(env, tmp_path, jobs=1)
     deadline = time.monotonic() + 60
-    while entry_count(tmp_path) < 2 and time.monotonic() < deadline:
+    while journaled_count(tmp_path) < 2 and time.monotonic() < deadline:
         time.sleep(0.02)
+    assert journaled_count(tmp_path) >= 2
     assert entry_count(tmp_path) >= 2
     os.kill(p.pid, signal.SIGKILL)
     p.join(timeout=60)

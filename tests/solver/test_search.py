@@ -1,14 +1,14 @@
-"""The solver search: cross-query prefix reuse against the reference.
+"""The solver search: cross-query prefix reuse on a warm solver.
 
 ``Solver()`` closes the literal prefix of each query once, keeps the
 closed branch in a small LRU and searches the goal on top of it;
 ``Solver(reuse_prefixes=False)`` searches every query from a fresh
-branch. Reuse must trade cost, never answers. The suite checks that
-over seeded random queries (each through a cold solver), over warm
-streams of ``pc + [goal_i]`` through one solver (plain, disjunctive
-and conflicting prefixes, length-1 queries, more prefixes than cache
-slots), and across searches interrupted on a cached prefix; the
-cache-knob behaviour rides along.
+branch. Reuse must trade cost, never answers. ``test_strategies.py``
+checks that over seeded random queries, each through a cold solver;
+this suite checks it over warm streams of ``pc + [goal_i]`` through one
+solver (plain, disjunctive and conflicting prefixes, length-1 queries,
+more prefixes than cache slots) and across searches interrupted on a
+cached prefix.
 """
 
 import random
@@ -18,68 +18,13 @@ import pytest
 from repro.budget import Budget
 from repro.errors import BudgetExhausted
 from repro.solver import Solver, Status
-from repro.solver.core import DEFAULT_CACHE_CAPACITY, GLOBAL_STATS, PREFIX_SLOTS
-from repro.solver.sorts import BOOL, INT
-from repro.solver.terms import (
-    Var,
-    add,
-    and_,
-    eq,
-    intlit,
-    ite,
-    le,
-    lt,
-    not_,
-    or_,
-    sub,
-)
+from repro.solver.core import GLOBAL_STATS, PREFIX_SLOTS
+from repro.solver.terms import add, and_, eq, intlit, ite, le, lt, not_, or_
 
-IVARS = [Var(f"x{i}", INT) for i in range(4)]
-BVARS = [Var(f"b{i}", BOOL) for i in range(2)]
+from tests.solver.test_strategies import BVARS, IVARS, _formula
+
 X0, X1, X2, _ = IVARS
 B0, B1 = BVARS
-
-
-def _int_term(rng, depth):
-    if depth == 0 or rng.random() < 0.35:
-        if rng.random() < 0.6:
-            return rng.choice(IVARS)
-        return intlit(rng.randint(-8, 8))
-    a = _int_term(rng, depth - 1)
-    b = _int_term(rng, depth - 1)
-    return add(a, b) if rng.random() < 0.5 else sub(a, b)
-
-
-def _atom(rng):
-    kind = rng.choice(["le", "lt", "eq", "bool"])
-    if kind == "bool":
-        v = rng.choice(BVARS)
-        return not_(v) if rng.random() < 0.3 else v
-    a = _int_term(rng, 2)
-    b = _int_term(rng, 2)
-    return {"le": le, "lt": lt, "eq": eq}[kind](a, b)
-
-
-def _formula(rng, depth):
-    if depth == 0:
-        return _atom(rng)
-    kind = rng.choice(["atom", "and", "or", "not", "ite"])
-    if kind == "atom":
-        return _atom(rng)
-    if kind == "not":
-        return not_(_formula(rng, depth - 1))
-    a = _formula(rng, depth - 1)
-    b = _formula(rng, depth - 1)
-    if kind == "and":
-        return and_(a, b)
-    if kind == "or":
-        return or_(a, b)
-    return ite(rng.choice(BVARS), a, b)
-
-
-def _query(seed):
-    rng = random.Random(seed)
-    return [_formula(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
 
 
 def _goals(seed, n=30):
@@ -119,20 +64,13 @@ SPLIT_PC = [
 CONFLICT_PC = [le(X0, intlit(0)), le(intlit(1), X0), eq(X1, X2)]
 
 
-class TestDifferential:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_reuse_agrees_with_reference(self, seed):
-        fs = _query(seed)
-        assert Solver().check_sat(fs) == _reference(fs)
-
+class TestWarmStreams:
     def test_reference_never_touches_the_prefix_cache(self):
         s = Solver(reuse_prefixes=False)
         _stream(s, PLAIN_PC, _goals(1, 5))
         assert s.stats["prefix_hits"] == s.stats["prefix_misses"] == 0
         assert not s._prefixes
 
-
-class TestWarmStreams:
     def test_plain_literal_prefix(self):
         s = Solver()
         _stream(s, PLAIN_PC, _goals(2))
@@ -220,34 +158,3 @@ class TestInterruptedSearch:
         fs = PLAIN_PC + [PROBE_GOAL]
         assert s.check_sat(fs) == _reference(fs) == Status.SAT
         assert s.stats["prefix_hits"] == 1
-
-
-class TestCacheKnob:
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "3")
-        s = Solver()
-        assert s.cache_capacity == 3
-        assert s.stats["cache_capacity"] == 3
-
-    def test_default_capacity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_CACHE", raising=False)
-        assert Solver().cache_capacity == DEFAULT_CACHE_CAPACITY
-
-    def test_invalid_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "zero")
-        with pytest.warns(RuntimeWarning):
-            assert Solver().cache_capacity == DEFAULT_CACHE_CAPACITY
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "-5")
-        with pytest.warns(RuntimeWarning):
-            assert Solver().cache_capacity == DEFAULT_CACHE_CAPACITY
-
-    def test_lru_evicts_at_capacity(self):
-        s = Solver(cache_capacity=2)
-        for i in range(4):
-            s.check_sat([le(intlit(i), IVARS[0])])
-        assert len(s._cache) <= 2
-        assert s.stats["cache_evictions"] >= 2
-        # The two most recent queries are still hits.
-        hits0 = s.stats["cache_hits"]
-        s.check_sat([le(intlit(3), IVARS[0])])
-        assert s.stats["cache_hits"] == hits0 + 1

@@ -1,30 +1,23 @@
-"""Randomized cross-strategy differential suite.
+"""Randomized differential suite for the solver's two search strategies.
 
-The portfolio's hard invariant: search strategies trade *cost*, never
-*answers*. Every registered strategy — and the ``auto`` and ``race``
-modes built on top of them — must return the same verdict for the
-same query. The suite drives all of them over seeded random formula
-sets (mixing arithmetic, equalities, boolean structure, ite and
-disjunction, so every ordering / closure-timing code path fires) and
-asserts verdict equality; the env-knob and cache-knob behaviour rides
-along.
+Search strategies trade *cost*, never *answers*: ``Solver()``, which
+reuses closed literal prefixes across queries, must return the same
+verdict as the reference ``Solver(reuse_prefixes=False)``, which
+searches every query from a fresh branch. The suite drives both over
+seeded random formula sets (mixing arithmetic, equalities, boolean
+structure, ite and disjunction, so every splitting and closure path
+fires), each through a cold solver, and asserts verdict equality; the
+cache-knob behaviour rides along. Warm streams through one solver are
+in ``test_search.py``.
 """
 
 import random
 
 import pytest
 
-from repro.solver import Solver, Status
+from repro.solver import Solver
 from repro.solver.core import DEFAULT_CACHE_CAPACITY
-from repro.solver.portfolio import StrategySelector
 from repro.solver.sorts import BOOL, INT
-from repro.solver.strategies import (
-    MODES,
-    STRATEGIES,
-    SearchStrategy,
-    StrategyDivergence,
-    get_strategy,
-)
 from repro.solver.terms import (
     Var,
     add,
@@ -89,123 +82,7 @@ class TestDifferential:
     @pytest.mark.parametrize("seed", range(40))
     def test_all_strategies_agree(self, seed):
         fs = _query(seed)
-        verdicts = {
-            name: Solver(strategy=name).check_sat(fs) for name in STRATEGIES
-        }
-        assert len(set(verdicts.values())) == 1, verdicts
-
-    @pytest.mark.parametrize("seed", range(0, 40, 5))
-    def test_race_agrees_with_baseline(self, seed):
-        fs = _query(seed)
-        assert Solver(strategy="race").check_sat(fs) == Solver().check_sat(fs)
-
-    def test_auto_agrees_with_baseline(self):
-        # A tiny window + warmup forces the selector through every
-        # strategy across the seeds, not just the early winner.
-        sel = StrategySelector(warmup=1, explore_every=2, window=1)
-        for seed in range(30):
-            fs = _query(seed)
-            auto = Solver(strategy="auto", selector=sel).check_sat(fs)
-            assert auto == Solver().check_sat(fs), seed
-
-    def test_registry_has_the_paper_strategies(self):
-        for name in (
-            "baseline",
-            "inverted",
-            "eager",
-            "lazy",
-            "conflict_first",
-            "prefix_reuse",
-        ):
-            assert name in STRATEGIES
-            assert get_strategy(name).name == name
-        assert MODES == ("auto", "race")
-
-
-class _Lying(SearchStrategy):
-    name = "_lying"
-
-    def search(self, solver, formulas):
-        return Status.UNSAT
-
-
-class TestRace:
-    def test_race_detects_divergence(self):
-        STRATEGIES["_lying"] = _Lying()
-        try:
-            with pytest.raises(StrategyDivergence):
-                Solver(strategy="race").check_sat([eq(intlit(0), intlit(0))])
-        finally:
-            del STRATEGIES["_lying"]
-
-    def test_divergence_is_in_the_error_taxonomy(self):
-        """StrategyDivergence must map to an ``error`` status (and stay
-        an AssertionError for the differential suite's contract)."""
-        from repro.errors import VerificationError, status_of
-
-        e = StrategyDivergence("boom")
-        assert isinstance(e, VerificationError)
-        assert isinstance(e, AssertionError)
-        assert status_of(e) == "error"
-
-    def test_divergence_degrades_to_error_entry(self):
-        """A race-mode divergence mid-verification must become a
-        ✗ ``error`` entry, not crash the run."""
-        from repro.gilsonite.ownable import OwnableRegistry
-        from repro.hybrid.pipeline import HybridVerifier
-        from repro.lang.builder import BodyBuilder
-        from repro.lang.mir import Program
-        from repro.lang.types import U64
-
-        fn = BodyBuilder("f", params=[("x", U64)], ret=U64)
-        bb = fn.block()
-        bb.assign(
-            fn.ret_place, fn.binop("add", fn.copy("x"), fn.const_int(1, U64))
-        )
-        bb.ret()
-        program = Program()
-        program.add_body(fn.finish())
-        hv = HybridVerifier(
-            program,
-            OwnableRegistry(program),
-            {},
-            solver=Solver(strategy="race"),
-        )
-        hv.store = None
-        STRATEGIES["_lying"] = _Lying()
-        try:
-            report = hv.run(["f"])
-        finally:
-            del STRATEGIES["_lying"]
-        [entry] = report.entries
-        assert entry.status == "error"
-        assert not report.ok
-        assert "disagree" in entry.note
-
-
-class TestStrategyKnob:
-    def test_unknown_name_raises_eagerly(self):
-        with pytest.raises(KeyError):
-            Solver(strategy="nope")
-        with pytest.raises(KeyError):
-            get_strategy("nope")
-
-    def test_env_selects_strategy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "inverted")
-        assert Solver().strategy == "inverted"
-
-    def test_env_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "auto")
-        assert Solver().strategy == "auto"
-
-    def test_env_invalid_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "bogus")
-        with pytest.warns(RuntimeWarning):
-            assert Solver().strategy == "baseline"
-
-    def test_explicit_strategy_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "eager")
-        assert Solver(strategy="lazy").strategy == "lazy"
+        assert Solver().check_sat(fs) == Solver(reuse_prefixes=False).check_sat(fs)
 
 
 class TestCacheKnob:
